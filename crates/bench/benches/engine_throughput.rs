@@ -46,34 +46,18 @@ fn bench_engine_throughput(c: &mut Criterion) {
         });
     });
 
+    // Workers serve queries through the deployment's PartitionedPlan,
+    // compiled once at engine start (bit-identical by contract, so only
+    // the timing may move).
     for workers in [1usize, 4] {
         let engine = RecallEngine::new(
             deployment(),
             &EngineConfig::builder()
                 .workers(workers)
                 .queue_capacity(QUERIES)
-                .use_plans(false)
                 .build(),
         );
         group.bench_function(format!("engine_{workers}w_64x16_4shards_8q"), |b| {
-            b.iter(|| black_box(engine.recall_many(&inputs).unwrap()));
-        });
-        engine.shutdown();
-    }
-
-    // Plan-enabled workers: each worker compiles its deployment clone into
-    // a PartitionedPlan at spawn and serves queries through the flat
-    // kernel (bit-identical by contract, so only the timing may move).
-    for workers in [1usize, 4] {
-        let engine = RecallEngine::new(
-            deployment(),
-            &EngineConfig::builder()
-                .workers(workers)
-                .queue_capacity(QUERIES)
-                .use_plans(true)
-                .build(),
-        );
-        group.bench_function(format!("engine_plan_{workers}w_64x16_4shards_8q"), |b| {
             b.iter(|| black_box(engine.recall_many(&inputs).unwrap()));
         });
         engine.shutdown();

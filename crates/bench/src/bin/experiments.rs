@@ -196,7 +196,9 @@ struct TimedStudy {
 /// accuracy, refresh counts split by trigger, wear-leveled migrations,
 /// refresh-energy overhead relative to recall energy — the quantities
 /// `check_lifetime` gates on) and log-spaced `points[]` over the virtual
-/// traffic horizon (10⁶ queries quick, 10⁹-equivalent full).
+/// traffic horizon (10⁶ queries quick, 10⁹-equivalent full); v11 drops
+/// the `capacity` rows' compiled-tile count (every tile now runs a
+/// compiled plan, so it always equalled `tiles`).
 fn write_json_report(
     path: &str,
     scale: &Scale,
@@ -206,7 +208,7 @@ fn write_json_report(
     let snapshot = experiments::telemetry_capture(scale)?;
     let total_wall: f64 = studies.iter().map(|s| s.wall_clock_seconds).sum();
     let document = JsonValue::object([
-        ("schema_version", JsonValue::Uint(10)),
+        ("schema_version", JsonValue::Uint(11)),
         (
             "scale",
             JsonValue::Str(if quick { "quick" } else { "full" }.to_string()),
@@ -1057,7 +1059,6 @@ fn render_capacity(scale: &Scale) -> Rendered {
             "templates",
             "k",
             "tiles",
-            "compiled",
             "queries",
             "throughput",
             "energy/query",
@@ -1071,7 +1072,6 @@ fn render_capacity(scale: &Scale) -> Rendered {
             format!("{}", r.templates),
             format!("{}", r.k),
             format!("{}", r.tiles),
-            format!("{}", r.compiled_tiles),
             format!("{}", r.queries),
             format!("{:.1} q/s", r.throughput_qps),
             eng(r.energy_per_query_j, "J"),
@@ -1113,7 +1113,6 @@ fn render_capacity(scale: &Scale) -> Rendered {
                             ("templates", JsonValue::Uint(r.templates as u64)),
                             ("k", JsonValue::Uint(r.k as u64)),
                             ("tiles", JsonValue::Uint(r.tiles as u64)),
-                            ("compiled_tiles", JsonValue::Uint(r.compiled_tiles as u64)),
                             ("queries", JsonValue::Uint(r.queries as u64)),
                             ("wall_seconds", JsonValue::Num(r.wall_seconds)),
                             ("throughput_qps", JsonValue::Num(r.throughput_qps)),

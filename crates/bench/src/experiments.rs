@@ -1166,7 +1166,6 @@ pub fn engine_scale_study(scale: &Scale) -> Result<EngineScaleStudy, CoreError> 
                     &EngineConfig::builder()
                         .workers(workers)
                         .queue_capacity(batch)
-                        .use_plans(false)
                         .build(),
                 );
                 let started = std::time::Instant::now();
@@ -1550,7 +1549,6 @@ pub fn profile_study(scale: &Scale) -> Result<ProfileStudy, CoreError> {
             &EngineConfig::builder()
                 .workers(workers)
                 .queue_capacity(8)
-                .use_plans(false)
                 .build(),
             recorder.clone(),
             Some(std::sync::Arc::clone(&tracer)),
@@ -1858,8 +1856,6 @@ pub struct CapacityRow {
     pub k: usize,
     /// Crossbar tiles the templates shard into.
     pub tiles: usize,
-    /// Tiles whose evaluation phase runs a compiled plan.
-    pub compiled_tiles: usize,
     /// Queries served in the timed pass.
     pub queries: usize,
     /// Wall time of the timed batch pass.
@@ -1974,11 +1970,7 @@ pub fn capacity_study(scale: &Scale) -> Result<CapacityStudy, CoreError> {
                     .collect::<Result<_, _>>()?;
                 let engine = RecallEngine::new(
                     Deployment::Tiled(pool.clone()),
-                    &EngineConfig::builder()
-                        .workers(2)
-                        .queue_capacity(4)
-                        .use_plans(false)
-                        .build(),
+                    &EngineConfig::builder().workers(2).queue_capacity(4).build(),
                 );
                 let mut responses = Vec::with_capacity(inputs.len());
                 for window in inputs.chunks(4) {
@@ -2023,7 +2015,6 @@ pub fn capacity_study(scale: &Scale) -> Result<CapacityStudy, CoreError> {
                 templates,
                 k,
                 tiles: pool.tile_count(),
-                compiled_tiles: pool.compiled_tiles(),
                 queries: inputs.len(),
                 wall_seconds,
                 throughput_qps: inputs.len() as f64 / wall_seconds,
@@ -2958,7 +2949,6 @@ mod tests {
             assert!(r.throughput_qps > 0.0);
             assert!(r.energy_per_query_j > 0.0);
             assert_eq!(r.tiles, r.templates.div_ceil(study.tile_capacity));
-            assert!(r.compiled_tiles <= r.tiles);
         }
     }
 

@@ -382,7 +382,6 @@ pub fn run_case<T: Recorder>(
                 &EngineConfig::builder()
                     .workers(workers)
                     .queue_capacity(2)
-                    .use_plans(false)
                     .build(),
             );
             let responses = engine.recall_many(&inputs)?;
@@ -510,11 +509,7 @@ pub fn run_case<T: Recorder>(
     let mut part = PartitionedAmm::build(&w.patterns, 2, &cfg)?;
     let part_engine = RecallEngine::new(
         Deployment::Partitioned(part.clone()),
-        &EngineConfig::builder()
-            .workers(2)
-            .queue_capacity(2)
-            .use_plans(false)
-            .build(),
+        &EngineConfig::builder().workers(2).queue_capacity(2).build(),
     );
     let part_responses = part_engine.recall_many(&inputs)?;
     part_engine.shutdown();
@@ -537,11 +532,7 @@ pub fn run_case<T: Recorder>(
     let mut hier = HierarchicalAmm::build(&w.patterns, 2, &cfg)?;
     let hier_engine = RecallEngine::new(
         Deployment::Hierarchical(hier.clone()),
-        &EngineConfig::builder()
-            .workers(2)
-            .queue_capacity(2)
-            .use_plans(false)
-            .build(),
+        &EngineConfig::builder().workers(2).queue_capacity(2).build(),
     );
     let hier_responses = hier_engine.recall_many(&inputs)?;
     hier_engine.shutdown();
@@ -570,11 +561,7 @@ pub fn run_case<T: Recorder>(
     let mut tiled = TiledAmm::build(&w.patterns, tile_capacity, &cfg)?.with_top_k(3)?;
     let tiled_engine = RecallEngine::new(
         Deployment::Tiled(tiled.clone()),
-        &EngineConfig::builder()
-            .workers(2)
-            .queue_capacity(2)
-            .use_plans(false)
-            .build(),
+        &EngineConfig::builder().workers(2).queue_capacity(2).build(),
     );
     let tiled_responses = tiled_engine.recall_many(&inputs)?;
     tiled_engine.shutdown();

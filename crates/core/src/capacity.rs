@@ -16,9 +16,9 @@
 //! A pool recall runs the same two phases as every other deployment:
 //!
 //! 1. **Evaluate** (RNG-free): each tile produces its analog column
-//!    currents, through its compiled [`RecallPlan`] where one compiled
-//!    (the f64 tier is bit-identical to interpreted evaluation by the
-//!    [`crate::plan`] contract) and interpreted otherwise. Tiles are
+//!    currents through its compiled [`RecallPlan`] (the f64 tier is
+//!    bit-identical to interpreted evaluation by the [`crate::plan`]
+//!    contract). Tiles are
 //!    independent, so this phase parallelizes freely — across engine
 //!    workers or across the in-process batch threads — without affecting
 //!    any bit of the result.
@@ -188,59 +188,36 @@ pub fn top_k_merge(per_tile: &[&[u32]], k: usize) -> Vec<(usize, u32)> {
     lists.pop().unwrap_or_default()
 }
 
-/// One crossbar tile: a full module plus its compiled evaluate-phase
-/// accelerator.
+/// One crossbar tile: a full module plus its compiled f64 evaluate-phase
+/// kernel.
 #[derive(Debug, Clone)]
 struct Tile {
     module: AssociativeMemoryModule,
-    /// Compiled f64 phase-1 kernel; `None` when compilation failed (the
-    /// tile evaluates interpreted — bit-identical either way).
-    plan: Option<RecallPlan>,
+    plan: RecallPlan,
 }
 
 impl Tile {
-    fn compile<R: Recorder>(
-        module: &AssociativeMemoryModule,
+    fn new<R: Recorder>(
+        module: AssociativeMemoryModule,
         req: &RecallRequest<'_, R>,
-    ) -> Option<RecallPlan> {
-        match RecallPlan::compile_request(module, PlanOptions::default(), req) {
-            Ok(plan) => Some(plan),
-            Err(_) => {
-                req.recorder().counter("capacity.plan_fallbacks", 1);
-                None
-            }
-        }
+    ) -> Result<Self, CoreError> {
+        let plan = RecallPlan::compile_request(&module, PlanOptions::default(), req)?;
+        Ok(Self { module, plan })
     }
 
-    /// RNG-free phase 1, through the compiled plan where present.
+    /// RNG-free phase 1, through the compiled plan.
     fn evaluate<R: Recorder>(
         &mut self,
         input: &[u32],
         req: &RecallRequest<'_, R>,
     ) -> Result<QueryEvaluation, CoreError> {
-        match &mut self.plan {
-            Some(plan) => plan.evaluate_query_request(input, req),
-            None => self.module.evaluate_query_request(input, req),
-        }
+        self.plan.evaluate_query_request(input, req)
     }
 
     /// Recompiles the plan after a module mutation, recycling the retired
     /// plan's workspace (identical geometry → zero reallocation).
-    fn refresh_plan<R: Recorder>(&mut self, req: &RecallRequest<'_, R>) {
-        let recycled = self.plan.take().map(RecallPlan::into_workspace);
-        self.plan = match recycled {
-            Some(ws) => RecallPlan::compile_with_workspace_request(
-                &self.module,
-                PlanOptions::default(),
-                ws,
-                req,
-            )
-            .ok(),
-            None => Self::compile(&self.module, req),
-        };
-        if self.plan.is_none() {
-            req.recorder().counter("capacity.plan_fallbacks", 1);
-        }
+    fn refresh_plan<R: Recorder>(&mut self, req: &RecallRequest<'_, R>) -> Result<(), CoreError> {
+        self.plan.recompile_request(&self.module, req)
     }
 }
 
@@ -309,15 +286,14 @@ impl TiledAmm {
     /// (what lets recompiles recycle workspaces across the pool). The
     /// default ranking depth is `k = 1`; see [`TiledAmm::with_top_k`].
     ///
-    /// Emits `capacity.tiles` (tiles built) on the request's recorder,
-    /// and `capacity.plan_fallbacks` for tiles whose plan failed to
-    /// compile.
+    /// Emits `capacity.tiles` (tiles built) on the request's recorder.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidParameter`] for an empty pattern set or
     /// a zero tile capacity; propagates module build errors (ragged
-    /// patterns, out-of-range levels, device failures).
+    /// patterns, out-of-range levels, device failures) and tile plan
+    /// compile errors.
     pub fn build_request<R: Recorder>(
         patterns: &[Vec<u32>],
         tile_capacity: usize,
@@ -342,8 +318,7 @@ impl TiledAmm {
             cfg.seed = tile_seed(config.seed, index);
             cfg.spare_columns = tile_columns - chunk.len();
             let module = AssociativeMemoryModule::build_request(chunk, &cfg, req)?;
-            let plan = Tile::compile(&module, req);
-            tiles.push(Tile { module, plan });
+            tiles.push(Tile::new(module, req)?);
         }
         req.recorder().counter("capacity.tiles", tiles.len() as u64);
         Ok(Self {
@@ -420,12 +395,6 @@ impl TiledAmm {
         self.top_k
     }
 
-    /// Tiles whose evaluate phase runs through a compiled plan.
-    #[must_use]
-    pub fn compiled_tiles(&self) -> usize {
-        self.tiles.iter().filter(|t| t.plan.is_some()).count()
-    }
-
     /// Live (non-evicted) templates across the pool.
     #[must_use]
     pub fn live_template_count(&self) -> usize {
@@ -477,9 +446,8 @@ impl TiledAmm {
         self.recall_request(input, &RecallRequest::DEFAULT)
     }
 
-    /// [`TiledAmm::recall`] with options: phase 1 on every tile (compiled
-    /// where eligible), then the in-order select phase and the top-k
-    /// merge.
+    /// [`TiledAmm::recall`] with options: phase 1 on every tile's compiled
+    /// plan, then the in-order select phase and the top-k merge.
     ///
     /// # Errors
     ///
@@ -571,9 +539,9 @@ impl TiledAmm {
             .collect()
     }
 
-    /// Runs the RNG-free first phase on every tile, compiled where
-    /// eligible. Safe on a clone of the pool (mutates only plan
-    /// workspaces and cached solver state) — the engine-worker entry
+    /// Runs the RNG-free first phase on every tile's compiled plan. Safe
+    /// on a clone of the pool (mutates only plan workspaces and cached
+    /// solver state) — the engine-worker entry
     /// point. Pair with [`TiledAmm::select_winner_request`] in submission
     /// order to reproduce [`TiledAmm::recall`] bit for bit.
     ///
@@ -701,7 +669,7 @@ impl TiledAmm {
                 continue;
             }
             let (slot, column) = tile.module.install_template_request(pattern, req)?;
-            tile.refresh_plan(req);
+            tile.refresh_plan(req)?;
             return Ok(TemplateHandle {
                 tile: TileId(index),
                 column,
@@ -714,9 +682,8 @@ impl TiledAmm {
         cfg.seed = tile_seed(self.base_config.seed, index);
         cfg.spare_columns = self.tile_columns - 1;
         let module = AssociativeMemoryModule::build_request(&[pattern.to_vec()], &cfg, req)?;
-        let plan = Tile::compile(&module, req);
         let column = module.template_columns()[0];
-        self.tiles.push(Tile { module, plan });
+        self.tiles.push(Tile::new(module, req)?);
         req.recorder().counter("capacity.tiles_grown", 1);
         Ok(TemplateHandle {
             tile: TileId(index),
@@ -791,15 +758,6 @@ impl TiledAmm {
             .retire_template_request(handle.slot, req)?;
         Ok(())
     }
-
-    /// Drops every compiled tile plan, forcing interpreted evaluation —
-    /// the differential half of the plan/interpreted identity tests.
-    #[cfg(test)]
-    fn drop_plans_for_test(&mut self) {
-        for tile in &mut self.tiles {
-            tile.plan = None;
-        }
-    }
 }
 
 /// Worker count for the batch evaluate phase when the request does not
@@ -845,7 +803,6 @@ mod tests {
         assert_eq!(pool.tile_columns(), 4);
         assert_eq!(pool.total_columns(), 8);
         assert_eq!(pool.live_template_count(), 6);
-        assert_eq!(pool.compiled_tiles(), 2);
         assert!(pool.clone().with_top_k(0).is_err());
     }
 
@@ -913,6 +870,18 @@ mod tests {
         }
     }
 
+    /// The interpreted oracle for a pool recall: every tile's module
+    /// evaluates interpreted, then the pool's in-order select runs.
+    fn interpreted_recall(pool: &mut TiledAmm, input: &[u32]) -> TiledRecall {
+        let req = RecallRequest::DEFAULT;
+        let evals = pool
+            .tiles
+            .iter_mut()
+            .map(|t| t.module.evaluate_query_request(input, &req).unwrap())
+            .collect();
+        pool.select_winner_request(evals, &req).unwrap()
+    }
+
     #[test]
     fn interpreted_and_compiled_pools_are_bit_identical() {
         let w = workload(8, 6);
@@ -921,13 +890,12 @@ mod tests {
             .unwrap()
             .with_top_k(4)
             .unwrap();
-        assert!(compiled.compiled_tiles() > 0);
         let mut interpreted = compiled.clone();
-        interpreted.drop_plans_for_test();
         for (_, q) in &w.queries {
-            let a = compiled.recall(q).unwrap();
-            let b = interpreted.recall(q).unwrap();
-            assert_eq!(a, b);
+            assert_eq!(
+                compiled.recall(q).unwrap(),
+                interpreted_recall(&mut interpreted, q)
+            );
         }
     }
 
@@ -1064,7 +1032,6 @@ mod tests {
         pool.evict_template_request(handle, &req).unwrap();
         assert_eq!(pool.tile_count(), tiles_before);
         assert_eq!(pool.total_columns(), columns_before);
-        assert_eq!(pool.compiled_tiles(), tiles_before);
         let counters = recorder.snapshot().counters;
         assert_eq!(counters.get("capacity.tiles_released"), Some(&1));
         // The handle is now unknown, not merely stale.
@@ -1089,8 +1056,8 @@ mod tests {
     #[test]
     fn mutated_pool_keeps_plan_interpreted_identity() {
         // Insert (recompile, workspace recycled) and evict (no recompile)
-        // must both preserve bit-identity between the compiled pool and an
-        // interpreted clone sharing the same RNG schedule.
+        // must both preserve bit-identity between the compiled pool and
+        // the interpreted oracle on a clone sharing the same RNG schedule.
         let w = workload(4, 4);
         let cfg = AmmConfig {
             spare_columns: 1,
@@ -1101,19 +1068,24 @@ mod tests {
             .with_top_k(3)
             .unwrap();
         let mut interpreted = compiled.clone();
-        interpreted.drop_plans_for_test();
 
         let novel: Vec<u32> = (0..16).map(|i| u32::from(i % 4 == 1) * 31).collect();
         let ha = compiled.insert_template(&novel).unwrap();
         let hb = interpreted.insert_template(&novel).unwrap();
         assert_eq!(ha, hb);
         for (_, q) in &w.queries {
-            assert_eq!(compiled.recall(q).unwrap(), interpreted.recall(q).unwrap());
+            assert_eq!(
+                compiled.recall(q).unwrap(),
+                interpreted_recall(&mut interpreted, q)
+            );
         }
         compiled.evict_template(ha).unwrap();
         interpreted.evict_template(hb).unwrap();
         for (_, q) in &w.queries {
-            assert_eq!(compiled.recall(q).unwrap(), interpreted.recall(q).unwrap());
+            assert_eq!(
+                compiled.recall(q).unwrap(),
+                interpreted_recall(&mut interpreted, q)
+            );
         }
     }
 
@@ -1125,11 +1097,7 @@ mod tests {
             ..AmmConfig::default()
         };
         let pool = TiledAmm::build(&w.patterns, 3, &cfg).unwrap();
-        let geometries: Vec<_> = pool
-            .tiles
-            .iter()
-            .filter_map(|t| t.plan.as_ref().map(RecallPlan::geometry))
-            .collect();
+        let geometries: Vec<_> = pool.tiles.iter().map(|t| t.plan.geometry()).collect();
         assert_eq!(geometries.len(), pool.tile_count());
         assert!(geometries.windows(2).all(|w| w[0] == w[1]));
         assert_eq!(geometries[0].cols, 5);

@@ -88,6 +88,7 @@ use spinamm_crossbar::{CachedParasiticCrossbar, CrossbarArray, RowDrive};
 use spinamm_spin::{DomainWallNeuron, Polarity};
 use spinamm_telemetry::Recorder;
 use spinamm_trace::TraceCtx;
+use std::time::Instant;
 
 /// Numeric tier the analog correlate runs in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -571,6 +572,34 @@ impl RecallPlan {
     #[must_use]
     pub fn into_workspace(self) -> PlanWorkspace {
         self.ws
+    }
+
+    /// Recompiles this plan in place against `module` (after a bank
+    /// mutation), at the same precision, recycling its own workspace.
+    ///
+    /// # Errors
+    ///
+    /// See [`RecallPlan::compile`]; the plan keeps its previous lowering
+    /// (with a fresh workspace) on error.
+    pub(crate) fn recompile_request<R: Recorder>(
+        &mut self,
+        module: &AssociativeMemoryModule,
+        req: &RecallRequest<'_, R>,
+    ) -> Result<(), CoreError> {
+        let options = PlanOptions {
+            precision: self.precision,
+        };
+        let recycled = std::mem::replace(&mut self.ws, PlanWorkspace::empty());
+        match Self::compile_inner(module, options, Some(recycled), req) {
+            Ok(plan) => {
+                *self = plan;
+                Ok(())
+            }
+            Err(e) => {
+                self.ws = PlanWorkspace::empty().fit(&self.geometry());
+                Err(e)
+            }
+        }
     }
 
     /// Executes one query.
@@ -1170,11 +1199,27 @@ impl PartitionedPlan {
                 found: input.len(),
             });
         }
+        // Same trace shape as the interpreted path: segments run untraced
+        // and each contributes one "shard.settle" span.
+        let ctx = req.trace_binding().join_ctx();
+        let inner = req.untraced();
         self.segments
             .iter_mut()
-            .map(|seg| {
-                seg.plan
-                    .evaluate_query_request(&input[seg.start..seg.end], req)
+            .enumerate()
+            .map(|(k, seg)| {
+                let t0 = ctx.active().then(Instant::now);
+                let eval = seg
+                    .plan
+                    .evaluate_query_request(&input[seg.start..seg.end], &inner);
+                if let Some(t0) = t0 {
+                    ctx.span_at(
+                        "shard.settle",
+                        t0,
+                        t0.elapsed(),
+                        &[("shard", k as f64), ("rows", (seg.end - seg.start) as f64)],
+                    );
+                }
+                eval
             })
             .collect()
     }
@@ -1182,30 +1227,21 @@ impl PartitionedPlan {
 
 /// A compiled hierarchical deployment: the stage-A (centroid) module and
 /// every cluster member module lowered into [`RecallPlan`]s for the
-/// engine's RNG-free evaluation phase.
-///
-/// Compilation fails only when the stage-A top module fails to compile —
-/// without a top plan nothing is gained. A member module that fails keeps
-/// an interpreted fallback slot instead ([`HierarchicalPlan::member_plan`]
-/// returns `None`, counted by [`HierarchicalPlan::member_fallbacks`]), so
-/// one awkward cluster doesn't forfeit the fast path for the rest of the
-/// deployment. f64 plan evaluation is bit-identical to the interpreted
-/// modules, so mixing compiled and fallback clusters never changes a
-/// response.
+/// engine's RNG-free evaluation phase. f64 plan evaluation is
+/// bit-identical to the interpreted modules.
 #[derive(Debug, Clone)]
 pub struct HierarchicalPlan {
     top: RecallPlan,
-    members: Vec<Option<RecallPlan>>,
+    members: Vec<RecallPlan>,
 }
 
 impl HierarchicalPlan {
     /// Compiles a hierarchical deployment's stage-A module and every
-    /// compilable cluster member module.
+    /// cluster member module.
     ///
     /// # Errors
     ///
-    /// Returns the stage-A top module's compile error; member failures
-    /// degrade to interpreted fallbacks instead.
+    /// Returns the first module's compile error.
     pub fn compile(
         hierarchical: &HierarchicalAmm,
         options: PlanOptions,
@@ -1227,32 +1263,15 @@ impl HierarchicalPlan {
         let members = hierarchical
             .clusters
             .iter()
-            .map(|c| RecallPlan::compile_request(&c.module, options, req).ok())
-            .collect();
+            .map(|c| RecallPlan::compile_request(&c.module, options, req))
+            .collect::<Result<_, _>>()?;
         Ok(Self { top, members })
     }
 
-    /// Number of cluster member slots (compiled or fallback).
+    /// Number of cluster member plans.
     #[must_use]
     pub fn member_count(&self) -> usize {
         self.members.len()
-    }
-
-    /// Cluster members that failed to compile and evaluate interpreted.
-    #[must_use]
-    pub fn member_fallbacks(&self) -> u64 {
-        self.members.iter().filter(|m| m.is_none()).count() as u64
-    }
-
-    /// The compiled member plan for `cluster`, when one exists.
-    pub fn member_plan(&mut self, cluster: usize) -> Option<&mut RecallPlan> {
-        self.members.get_mut(cluster).and_then(Option::as_mut)
-    }
-
-    /// Whether `cluster` has a compiled member plan.
-    #[must_use]
-    pub fn has_member_plan(&self, cluster: usize) -> bool {
-        self.members.get(cluster).is_some_and(Option::is_some)
     }
 
     /// Stage-A RNG-free phase through the compiled top plan —
@@ -1276,18 +1295,18 @@ impl HierarchicalPlan {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::InvalidParameter`] for an out-of-range or
-    /// fallback (uncompiled) cluster; see
-    /// [`RecallPlan::evaluate_query_request`].
+    /// Returns [`CoreError::InvalidParameter`] for an out-of-range
+    /// cluster; see [`RecallPlan::evaluate_query_request`].
     pub fn evaluate_member_request<R: Recorder>(
         &mut self,
         cluster: usize,
         input: &[u32],
         req: &RecallRequest<'_, R>,
     ) -> Result<QueryEvaluation, CoreError> {
-        self.member_plan(cluster)
+        self.members
+            .get_mut(cluster)
             .ok_or(CoreError::InvalidParameter {
-                what: "cluster has no compiled member plan",
+                what: "cluster index out of range",
             })?
             .evaluate_query_request(input, req)
     }
@@ -1576,7 +1595,6 @@ mod tests {
         let mut master = reference.clone();
         let mut plan = HierarchicalPlan::compile(&reference, PlanOptions::default()).unwrap();
         assert_eq!(plan.member_count(), master.cluster_count());
-        assert_eq!(plan.member_fallbacks(), 0);
         let req = RecallRequest::DEFAULT;
         for q in queries() {
             let want = reference.recall(&q).unwrap();
@@ -1589,7 +1607,9 @@ mod tests {
                 .unwrap();
             assert_eq!(got, want);
         }
-        assert!(plan.member_plan(master.cluster_count()).is_none());
+        assert!(plan
+            .evaluate_member_request(master.cluster_count(), &queries()[0], &req)
+            .is_err());
     }
 
     #[test]

@@ -44,7 +44,6 @@ fn traced_engine(deployment: Deployment, workers: usize) -> (RecallEngine, Arc<T
         &EngineConfig::builder()
             .workers(workers)
             .queue_capacity(4)
-            .use_plans(false)
             .build(),
         Arc::new(MemoryRecorder::default()),
         Some(Arc::clone(&tracer)),
@@ -157,11 +156,7 @@ fn queue_gauges_recover_after_drain_and_wait_histogram_fills() {
     let recorder = Arc::new(MemoryRecorder::default());
     let engine = RecallEngine::with_recorder(
         Deployment::Flat(module),
-        &EngineConfig::builder()
-            .workers(2)
-            .queue_capacity(3)
-            .use_plans(false)
-            .build(),
+        &EngineConfig::builder().workers(2).queue_capacity(3).build(),
         recorder.clone(),
     );
     let inputs = queries(&p, 9);
@@ -184,11 +179,7 @@ fn engine_without_tracer_records_no_traces() {
     let module = AssociativeMemoryModule::build(&p, &AmmConfig::default()).unwrap();
     let engine = RecallEngine::new(
         Deployment::Flat(module),
-        &EngineConfig::builder()
-            .workers(2)
-            .queue_capacity(2)
-            .use_plans(false)
-            .build(),
+        &EngineConfig::builder().workers(2).queue_capacity(2).build(),
     );
     let inputs = queries(&p, 4);
     engine.recall_many(&inputs).unwrap();

@@ -40,6 +40,23 @@ const MAX_HEADER_BYTES: usize = 64 * 1024;
 /// Largest accepted request body, bytes.
 const MAX_BODY_BYTES: usize = 16 * 1024 * 1024;
 
+/// One occupied connection slot, given back on drop: when the connection
+/// finishes, when its handler panics, or when its thread never starts.
+struct ConnectionSlot(Arc<AtomicUsize>);
+
+impl ConnectionSlot {
+    fn acquire(open: &Arc<AtomicUsize>) -> Self {
+        open.fetch_add(1, Ordering::AcqRel);
+        Self(Arc::clone(open))
+    }
+}
+
+impl Drop for ConnectionSlot {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::AcqRel);
+    }
+}
+
 /// A running TCP server; dropping it (or calling
 /// [`SpinServer::shutdown`]) stops the accept loop.
 #[derive(Debug)]
@@ -76,14 +93,14 @@ impl SpinServer {
                             write_http(&mut &stream, 503, &ServeError::Saturated.to_json(), &[]);
                         continue;
                     }
-                    open_connections.fetch_add(1, Ordering::AcqRel);
+                    let slot = ConnectionSlot::acquire(&open_connections);
                     let service = Arc::clone(&service);
-                    let open = Arc::clone(&open_connections);
+                    // A failed spawn drops the closure, and with it the slot.
                     let _ = thread::Builder::new()
                         .name("spinamm-conn".to_owned())
                         .spawn(move || {
+                            let _slot = slot;
                             handle_connection(&service, stream);
-                            open.fetch_sub(1, Ordering::AcqRel);
                         });
                 }
             })?;
@@ -386,8 +403,7 @@ fn error_body(status: u16, kind: &str, message: &str) -> String {
 ///   "quota_qps": 500.0,
 ///   "quota_burst": 50.0,
 ///   "workers": 2,
-///   "queue_capacity": 16,
-///   "use_plans": true
+///   "queue_capacity": 16
 /// }
 /// ```
 ///
@@ -476,10 +492,6 @@ fn parse_tenant_registration(
             "queue_capacity",
             defaults.engine.queue_capacity,
         ))
-        .use_plans(match doc.get("use_plans") {
-            Some(JsonValue::Bool(b)) => *b,
-            _ => defaults.engine.use_plans,
-        })
         .build();
     Ok((name, spec, TenantOptions { quota, engine }))
 }
@@ -512,4 +524,32 @@ fn write_http(
     stream.write_all(head.as_bytes())?;
     stream.write_all(body.as_bytes())?;
     stream.flush()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn connection_slot_is_released_when_the_handler_never_runs() {
+        // A failed spawn drops the handler closure unrun.
+        let open = Arc::new(AtomicUsize::new(0));
+        let slot = ConnectionSlot::acquire(&open);
+        let handler = move || drop(slot);
+        assert_eq!(open.load(Ordering::Acquire), 1);
+        drop(handler);
+        assert_eq!(open.load(Ordering::Acquire), 0);
+    }
+
+    #[test]
+    fn connection_slot_is_released_when_the_handler_panics() {
+        let open = Arc::new(AtomicUsize::new(0));
+        let slot = ConnectionSlot::acquire(&open);
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
+            let _slot = slot;
+            panic!("connection handler failed");
+        }));
+        assert!(unwound.is_err());
+        assert_eq!(open.load(Ordering::Acquire), 0);
+    }
 }
