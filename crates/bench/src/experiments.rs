@@ -1984,11 +1984,13 @@ pub fn capacity_study(scale: &Scale) -> Result<CapacityStudy, CoreError> {
                         .all(|(r, e)| matches!(r, EngineResponse::Tiled(t) if t == e));
             }
 
-            // Timed batch pass on the pool itself, with ranking checks on
-            // every result.
+            // Timed in-order pass on the pool itself, with ranking checks
+            // on every result.
             let started = std::time::Instant::now();
-            let results =
-                pool.recall_batch_request(&inputs, &spinamm_core::RecallRequest::DEFAULT)?;
+            let results: Vec<_> = inputs
+                .iter()
+                .map(|q| pool.recall(q))
+                .collect::<Result<_, _>>()?;
             let wall_seconds = started.elapsed().as_secs_f64().max(f64::EPSILON);
             let mut topk_matches_oracle = true;
             let mut top1_matches_wta = true;

@@ -563,7 +563,10 @@ impl AssociativeMemoryModule {
                 out[0] = Some(Ok((first.column_currents, first.dissipated_power)));
                 let rest = &mut out[1..];
                 let workers = worker_override
-                    .map_or_else(Self::batch_workers, |w| w.max(1))
+                    .unwrap_or_else(|| {
+                        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+                    })
+                    .max(1)
                     .min(rest.len());
                 trace.attr("workers", workers as f64);
                 if workers <= 1 {
@@ -783,20 +786,6 @@ impl AssociativeMemoryModule {
             column_currents: currents,
             energy,
         }
-    }
-
-    /// Worker threads for the parallel phase of a batch: the machine's
-    /// available parallelism, overridable through `SPINAMM_BATCH_WORKERS`.
-    /// Results are worker-count independent, so the override is purely a
-    /// performance (and test-coverage) knob.
-    fn batch_workers() -> usize {
-        std::env::var("SPINAMM_BATCH_WORKERS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&w| w >= 1)
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-            })
     }
 
     /// Runs a batch of recognitions, one per input vector.
@@ -1869,21 +1858,18 @@ mod tests {
 
     #[test]
     fn batch_recall_is_worker_count_independent() {
-        // Force real scoped-thread workers (this machine may report a
-        // single CPU) and check the batch still matches sequential bit for
-        // bit. The override is process-wide; every reader of the knob
-        // produces identical results at any worker count, so concurrent
-        // tests are unaffected.
+        // Force real scoped-thread workers (the host may report a single
+        // CPU) and check the batch still matches sequential bit for bit.
         let patterns = orthogonal_patterns();
         let cfg = config(Fidelity::Parasitic);
         let mut seq = AssociativeMemoryModule::build(&patterns, &cfg).unwrap();
         let mut bat = AssociativeMemoryModule::build(&patterns, &cfg).unwrap();
         let inputs: Vec<Vec<u32>> = patterns.iter().cycle().take(7).cloned().collect();
         let sequential: Vec<RecallResult> = inputs.iter().map(|i| seq.recall(i).unwrap()).collect();
-        std::env::set_var("SPINAMM_BATCH_WORKERS", "3");
-        let batched = bat.recall_batch(&inputs);
-        std::env::remove_var("SPINAMM_BATCH_WORKERS");
-        assert_eq!(sequential, batched.unwrap());
+        let batched = bat
+            .recall_batch_request(&inputs, &RecallRequest::DEFAULT.with_workers(3))
+            .unwrap();
+        assert_eq!(sequential, batched);
     }
 
     #[test]

@@ -463,82 +463,6 @@ impl TiledAmm {
         self.select_winner_request(evals, req)
     }
 
-    /// Runs a batch of ranked recalls. The RNG-free evaluate phase fans
-    /// tiles across worker threads ([`RecallRequest::with_workers`], the
-    /// `SPINAMM_BATCH_WORKERS` variable, or available parallelism); the
-    /// select phase then runs queries in submission order and tiles in
-    /// tile order, so results are bit-identical to a sequential loop of
-    /// [`TiledAmm::recall`] at any worker count.
-    ///
-    /// # Errors
-    ///
-    /// Every input is validated during the evaluate phase before any
-    /// select consumes randomness, so an invalid input fails the batch
-    /// without perturbing the RNG schedule.
-    pub fn recall_batch_request<S: AsRef<[u32]> + Sync, R: Recorder + Sync>(
-        &mut self,
-        inputs: &[S],
-        req: &RecallRequest<'_, R>,
-    ) -> Result<Vec<TiledRecall>, CoreError> {
-        let _span = req.recorder().span("capacity.batch");
-        if inputs.is_empty() {
-            return Ok(Vec::new());
-        }
-        // evals[tile][query], filled by disjoint tile chunks in parallel.
-        let tile_count = self.tiles.len();
-        let mut evals: Vec<Vec<Option<Result<QueryEvaluation, CoreError>>>> = (0..tile_count)
-            .map(|_| (0..inputs.len()).map(|_| None).collect())
-            .collect();
-        let workers = req
-            .workers()
-            .map_or_else(batch_workers, |w| w.max(1))
-            .min(tile_count);
-        let inner = req.untraced();
-        if workers <= 1 {
-            for (tile, slots) in self.tiles.iter_mut().zip(&mut evals) {
-                for (input, slot) in inputs.iter().zip(slots.iter_mut()) {
-                    *slot = Some(tile.evaluate(input.as_ref(), &inner));
-                }
-            }
-        } else {
-            let chunk = tile_count.div_ceil(workers);
-            std::thread::scope(|s| {
-                for (tiles, slots) in self.tiles.chunks_mut(chunk).zip(evals.chunks_mut(chunk)) {
-                    let inner = &inner;
-                    s.spawn(move || {
-                        for (tile, tile_slots) in tiles.iter_mut().zip(slots.iter_mut()) {
-                            for (input, slot) in inputs.iter().zip(tile_slots.iter_mut()) {
-                                *slot = Some(tile.evaluate(input.as_ref(), inner));
-                            }
-                        }
-                    });
-                }
-            });
-        }
-        // Surface any evaluate-phase error before selection starts.
-        let mut per_tile: Vec<Vec<QueryEvaluation>> = Vec::with_capacity(tile_count);
-        for slots in evals {
-            per_tile.push(
-                slots
-                    .into_iter()
-                    .map(|s| s.expect("every batch slot is filled"))
-                    .collect::<Result<_, _>>()?,
-            );
-        }
-        // In-order stochastic selection: queries in submission order,
-        // tiles in tile order within each query.
-        let mut out = Vec::with_capacity(inputs.len());
-        for q in (0..inputs.len()).rev() {
-            let evals_q: Vec<QueryEvaluation> =
-                per_tile.iter_mut().map(|t| t.swap_remove(q)).collect();
-            out.push(evals_q);
-        }
-        out.reverse();
-        out.into_iter()
-            .map(|evals_q| self.select_winner_request(evals_q, &inner))
-            .collect()
-    }
-
     /// Runs the RNG-free first phase on every tile's compiled plan. Safe
     /// on a clone of the pool (mutates only plan workspaces and cached
     /// solver state) — the engine-worker entry
@@ -760,17 +684,6 @@ impl TiledAmm {
     }
 }
 
-/// Worker count for the batch evaluate phase when the request does not
-/// override it: `SPINAMM_BATCH_WORKERS`, then available parallelism.
-fn batch_workers() -> usize {
-    if let Ok(v) = std::env::var("SPINAMM_BATCH_WORKERS") {
-        if let Ok(n) = v.parse::<usize>() {
-            return n.max(1);
-        }
-    }
-    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -896,30 +809,6 @@ mod tests {
                 compiled.recall(q).unwrap(),
                 interpreted_recall(&mut interpreted, q)
             );
-        }
-    }
-
-    #[test]
-    fn batch_matches_sequential_at_any_worker_count() {
-        let w = workload(9, 5);
-        let cfg = AmmConfig::default();
-        let inputs: Vec<Vec<u32>> = w.queries.iter().map(|(_, q)| q.clone()).collect();
-        let mut reference = TiledAmm::build(&w.patterns, 2, &cfg)
-            .unwrap()
-            .with_top_k(3)
-            .unwrap();
-        let sequential: Vec<TiledRecall> = inputs
-            .iter()
-            .map(|q| reference.recall(q).unwrap())
-            .collect();
-        for workers in [1, 3] {
-            let mut pool = TiledAmm::build(&w.patterns, 2, &cfg)
-                .unwrap()
-                .with_top_k(3)
-                .unwrap();
-            let req = RecallRequest::DEFAULT.with_workers(workers);
-            let batched = pool.recall_batch_request(&inputs, &req).unwrap();
-            assert_eq!(batched, sequential, "workers={workers}");
         }
     }
 

@@ -198,10 +198,7 @@ impl HierarchicalAmm {
         self.top.vector_len()
     }
 
-    /// Hierarchical recall: centroid match, then member match. Routed
-    /// through the batched path, so both levels reuse their cached
-    /// parasitic sessions instead of paying the cold-netlist cost per
-    /// bank.
+    /// Hierarchical recall: centroid match, then member match.
     ///
     /// # Errors
     ///
@@ -210,127 +207,26 @@ impl HierarchicalAmm {
         self.recall_request(input, &RecallRequest::DEFAULT)
     }
 
-    /// [`HierarchicalAmm::recall`] with options.
+    /// [`HierarchicalAmm::recall`] with options: the engine-facing phases
+    /// back to back — evaluate and select the centroids, then evaluate and
+    /// select inside the chosen cluster. A traced recall is one
+    /// `hierarchy.recall` request covering both stages.
     ///
     /// # Errors
     ///
     /// See [`HierarchicalAmm::recall`].
-    pub fn recall_request<R: Recorder + Sync>(
+    pub fn recall_request<R: Recorder>(
         &mut self,
         input: &[u32],
         req: &RecallRequest<'_, R>,
     ) -> Result<HierarchicalRecall, CoreError> {
-        let mut out = self.recall_batch_request(&[input], req)?;
-        Ok(out.pop().expect("one query in, one result out"))
-    }
-
-    /// Runs a batch of hierarchical recalls, one per input vector.
-    ///
-    /// # Errors
-    ///
-    /// See [`HierarchicalAmm::recall_batch_request`].
-    pub fn recall_batch<S: AsRef<[u32]>>(
-        &mut self,
-        inputs: &[S],
-    ) -> Result<Vec<HierarchicalRecall>, CoreError> {
-        self.recall_batch_request(inputs, &RecallRequest::DEFAULT)
-    }
-
-    /// [`HierarchicalAmm::recall_batch`] with options.
-    ///
-    /// Stage A matches all centroids through the top module's two-phase
-    /// batch; queries are then grouped by selected cluster (preserving
-    /// submission order within each group) and every non-empty cluster
-    /// evaluates its group on its own scoped thread. Each module owns its
-    /// RNG and sees its queries in submission order, so the results are
-    /// **bit-identical** to calling [`HierarchicalAmm::recall`] once per
-    /// input in order.
-    ///
-    /// # Errors
-    ///
-    /// Propagates recall errors from either level. Top-level input
-    /// validation happens before any randomness is consumed.
-    pub fn recall_batch_request<S: AsRef<[u32]>, R: Recorder + Sync>(
-        &mut self,
-        inputs: &[S],
-        req: &RecallRequest<'_, R>,
-    ) -> Result<Vec<HierarchicalRecall>, CoreError> {
-        if inputs.is_empty() {
-            return Ok(Vec::new());
-        }
-        let _span = req.recorder().span("hierarchy.batch");
-        // The hierarchical batch is one traced request; both levels run
-        // with tracing stripped and contribute externally timed spans
-        // (stage A as a whole, then one span per active cluster).
-        let scope = req.trace_binding().begin("hierarchy.batch");
-        scope.attr("queries", inputs.len() as f64);
-        let inner = req.untraced();
-        // Stage A: centroid match for every query, in order.
-        let top_t0 = scope.active().then(std::time::Instant::now);
-        let top_results = self.top.recall_batch_request(inputs, &inner)?;
-        if let Some(t0) = top_t0 {
-            scope.span_at("hierarchy.top", t0, t0.elapsed(), &[]);
-        }
-        // Group queries by selected cluster, preserving submission order.
-        let mut groups: Vec<Vec<usize>> = vec![Vec::new(); self.clusters.len()];
-        for (q, r) in top_results.iter().enumerate() {
-            groups[r.raw_winner].push(q);
-        }
-        // Stage B: every non-empty cluster runs its group as one batch on
-        // its own scoped thread (independent modules, independent RNGs).
-        let mut per_cluster: Vec<Option<Result<Vec<RecallResult>, CoreError>>> =
-            (0..self.clusters.len()).map(|_| None).collect();
-        let ctx = scope.ctx();
-        std::thread::scope(|s| {
-            for (c, ((cluster, slot), group)) in self
-                .clusters
-                .iter_mut()
-                .zip(per_cluster.iter_mut())
-                .zip(&groups)
-                .enumerate()
-            {
-                if group.is_empty() {
-                    continue;
-                }
-                let sub: Vec<&[u32]> = group.iter().map(|&q| inputs[q].as_ref()).collect();
-                let inner = &inner;
-                s.spawn(move || {
-                    let t0 = ctx.active().then(std::time::Instant::now);
-                    *slot = Some(cluster.module.recall_batch_request(&sub, inner));
-                    if let Some(t0) = t0 {
-                        ctx.span_at(
-                            "hierarchy.cluster",
-                            t0,
-                            t0.elapsed(),
-                            &[("cluster", c as f64), ("queries", sub.len() as f64)],
-                        );
-                    }
-                });
-            }
-        });
-        // Reassemble in submission order.
-        let mut member_results: Vec<Option<RecallResult>> =
-            (0..inputs.len()).map(|_| None).collect();
-        for (c, slot) in per_cluster.into_iter().enumerate() {
-            let Some(result) = slot else { continue };
-            for (&q, r) in groups[c].iter().zip(result?) {
-                member_results[q] = Some(r);
-            }
-        }
-        Ok(top_results
-            .into_iter()
-            .zip(member_results)
-            .map(|(top, member)| {
-                let member = member.expect("every query was routed to a cluster");
-                let c = &self.clusters[top.raw_winner];
-                HierarchicalRecall {
-                    cluster: top.raw_winner,
-                    winner: c.members[member.raw_winner],
-                    dom: member.dom,
-                    energy: top.energy + member.energy,
-                }
-            })
-            .collect())
+        let scope = req.trace_binding().begin("hierarchy.recall");
+        let req = req.within(&scope);
+        let top_eval = self.evaluate_top_request(input, &req)?;
+        let top = self.select_top_request(top_eval, &req)?;
+        let cluster = top.raw_winner;
+        let member_eval = self.evaluate_member_request(cluster, input, &req)?;
+        self.select_member_request(cluster, member_eval, &top, &req)
     }
 
     /// Engine-facing RNG-free phase of stage A: evaluates the top

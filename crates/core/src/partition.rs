@@ -135,9 +135,7 @@ impl PartitionedAmm {
         self.segments[0].module.latency()
     }
 
-    /// Runs one partitioned recall. Routed through the batched path, so
-    /// every segment's cached parasitic session is reused instead of
-    /// paying the cold-netlist cost per bank.
+    /// Runs one partitioned recall.
     ///
     /// # Errors
     ///
@@ -147,115 +145,23 @@ impl PartitionedAmm {
         self.recall_request(input, &RecallRequest::DEFAULT)
     }
 
-    /// [`PartitionedAmm::recall`] with options.
+    /// [`PartitionedAmm::recall`] with options: the two engine-facing
+    /// phases back to back. A traced recall is one `partition.recall`
+    /// request carrying one `shard.settle` and one `shard.select` span per
+    /// segment — the shape an engine job has.
     ///
     /// # Errors
     ///
     /// See [`PartitionedAmm::recall`].
-    pub fn recall_request<R: Recorder + Sync>(
+    pub fn recall_request<R: Recorder>(
         &mut self,
         input: &[u32],
         req: &RecallRequest<'_, R>,
     ) -> Result<PartitionedRecall, CoreError> {
-        let mut out = self.recall_batch_request(&[input], req)?;
-        Ok(out.pop().expect("one query in, one result out"))
-    }
-
-    /// Runs a batch of partitioned recalls, one per input vector.
-    ///
-    /// # Errors
-    ///
-    /// See [`PartitionedAmm::recall_batch_request`].
-    pub fn recall_batch<S: AsRef<[u32]>>(
-        &mut self,
-        inputs: &[S],
-    ) -> Result<Vec<PartitionedRecall>, CoreError> {
-        self.recall_batch_request(inputs, &RecallRequest::DEFAULT)
-    }
-
-    /// [`PartitionedAmm::recall_batch`] with options.
-    ///
-    /// Segments hold independent modules — disjoint crossbars, converters
-    /// and RNG streams — so each segment evaluates its sub-batch on its own
-    /// scoped thread ("in hardware they run concurrently"). Within a
-    /// segment the module's two-phase batch preserves query order, so the
-    /// combined results are **bit-identical** to calling
-    /// [`PartitionedAmm::recall`] once per input in order.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InputLengthMismatch`] for any mis-sized input
-    /// (validated up front, before any segment consumes randomness);
-    /// propagates per-segment recall errors.
-    pub fn recall_batch_request<S: AsRef<[u32]>, R: Recorder + Sync>(
-        &mut self,
-        inputs: &[S],
-        req: &RecallRequest<'_, R>,
-    ) -> Result<Vec<PartitionedRecall>, CoreError> {
-        let _span = req.recorder().span("partition.batch");
-        for input in inputs {
-            if input.as_ref().len() != self.vector_len {
-                return Err(CoreError::InputLengthMismatch {
-                    expected: self.vector_len,
-                    found: input.as_ref().len(),
-                });
-            }
-        }
-        if inputs.is_empty() {
-            return Ok(Vec::new());
-        }
-        // The partitioned batch is one traced request; segment modules run
-        // with tracing stripped (each would otherwise begin its own
-        // trace) and contribute one externally timed span apiece instead.
-        let scope = req.trace_binding().begin("partition.batch");
-        scope.attr("queries", inputs.len() as f64);
-        scope.attr("segments", self.segments.len() as f64);
-        let inner = req.untraced();
-        let mut per_seg: Vec<Option<Result<Vec<RecallResult>, CoreError>>> =
-            (0..self.segments.len()).map(|_| None).collect();
-        if self.segments.len() == 1 {
-            let seg = &mut self.segments[0];
-            let sub: Vec<&[u32]> = inputs
-                .iter()
-                .map(|i| &i.as_ref()[seg.start..seg.end])
-                .collect();
-            let t0 = scope.active().then(Instant::now);
-            per_seg[0] = Some(seg.module.recall_batch_request(&sub, &inner));
-            if let Some(t0) = t0 {
-                scope.span_at("partition.segment", t0, t0.elapsed(), &[("segment", 0.0)]);
-            }
-        } else {
-            let ctx = scope.ctx();
-            std::thread::scope(|s| {
-                for (k, (seg, slot)) in self.segments.iter_mut().zip(per_seg.iter_mut()).enumerate()
-                {
-                    let sub: Vec<&[u32]> = inputs
-                        .iter()
-                        .map(|i| &i.as_ref()[seg.start..seg.end])
-                        .collect();
-                    let inner = &inner;
-                    s.spawn(move || {
-                        let t0 = ctx.active().then(Instant::now);
-                        *slot = Some(seg.module.recall_batch_request(&sub, inner));
-                        if let Some(t0) = t0 {
-                            ctx.span_at(
-                                "partition.segment",
-                                t0,
-                                t0.elapsed(),
-                                &[("segment", k as f64)],
-                            );
-                        }
-                    });
-                }
-            });
-        }
-        let seg_results: Vec<Vec<RecallResult>> = per_seg
-            .into_iter()
-            .map(|slot| slot.expect("every segment slot is filled"))
-            .collect::<Result<_, _>>()?;
-        Ok((0..inputs.len())
-            .map(|q| self.combine(seg_results.iter().map(|r| &r[q])))
-            .collect())
+        let scope = req.trace_binding().begin("partition.recall");
+        let req = req.within(&scope);
+        let evals = self.evaluate_query_request(input, &req)?;
+        self.select_winner_request(evals, &req)
     }
 
     /// Engine-facing RNG-free phase: evaluates every segment's crossbar
@@ -340,23 +246,13 @@ impl PartitionedAmm {
                 result
             })
             .collect::<Result<_, _>>()?;
-        Ok(self.combine(results.iter()))
-    }
-
-    /// Digital adder tree: sums per-segment DOM codes into global scores
-    /// and picks the argmax (lowest index on ties).
-    fn combine<'a>(
-        &self,
-        segment_results: impl Iterator<Item = &'a RecallResult>,
-    ) -> PartitionedRecall {
-        combine_results(self.pattern_count, segment_results)
+        Ok(combine_results(self.pattern_count, results.iter()))
     }
 }
 
-/// Digital adder tree shared between the interpreted partitioned recall
-/// and [`crate::plan::PartitionedPlan`]: sums per-segment DOM codes into
-/// global scores and picks the argmax (lowest index on ties).
-pub(crate) fn combine_results<'a>(
+/// Digital adder tree: sums per-segment DOM codes into global scores and
+/// picks the argmax (lowest index on ties).
+fn combine_results<'a>(
     pattern_count: usize,
     segment_results: impl Iterator<Item = &'a RecallResult>,
 ) -> PartitionedRecall {

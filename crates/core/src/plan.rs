@@ -77,7 +77,7 @@ use crate::adc::SpinSarAdc;
 use crate::amm::{AssociativeMemoryModule, Fidelity, QueryEvaluation, RecallResult};
 use crate::energy::EnergyBreakdown;
 use crate::hierarchy::HierarchicalAmm;
-use crate::partition::{combine_results, PartitionedAmm, PartitionedRecall};
+use crate::partition::PartitionedAmm;
 use crate::request::RecallRequest;
 use crate::sar::SarRegister;
 use crate::wta::{argmax_lowest_index, SpinWta};
@@ -1097,12 +1097,11 @@ impl RecallPlan {
 }
 
 /// A compiled partitioned deployment: one [`RecallPlan`] per row segment
-/// plus the digital adder tree, mirroring
-/// [`PartitionedAmm::recall`].
+/// for the engine's RNG-free evaluation phase. f64 plan evaluation is
+/// bit-identical to [`PartitionedAmm::evaluate_query_request`].
 #[derive(Debug, Clone)]
 pub struct PartitionedPlan {
     segments: Vec<SegmentPlan>,
-    pattern_count: usize,
     vector_len: usize,
 }
 
@@ -1120,6 +1119,20 @@ impl PartitionedPlan {
     ///
     /// See [`RecallPlan::compile`].
     pub fn compile(partitioned: &PartitionedAmm, options: PlanOptions) -> Result<Self, CoreError> {
+        Self::compile_request(partitioned, options, &RecallRequest::DEFAULT)
+    }
+
+    /// [`PartitionedPlan::compile`] with observability: each segment's
+    /// compile is recorded like [`RecallPlan::compile_request`].
+    ///
+    /// # Errors
+    ///
+    /// See [`PartitionedPlan::compile`].
+    pub fn compile_request<R: Recorder>(
+        partitioned: &PartitionedAmm,
+        options: PlanOptions,
+        req: &RecallRequest<'_, R>,
+    ) -> Result<Self, CoreError> {
         let segments = partitioned
             .segments
             .iter()
@@ -1127,57 +1140,14 @@ impl PartitionedPlan {
                 Ok(SegmentPlan {
                     start: seg.start,
                     end: seg.end,
-                    plan: RecallPlan::compile(&seg.module, options)?,
+                    plan: RecallPlan::compile_request(&seg.module, options, req)?,
                 })
             })
             .collect::<Result<Vec<_>, CoreError>>()?;
         Ok(Self {
             segments,
-            pattern_count: partitioned.pattern_count,
             vector_len: partitioned.vector_len,
         })
-    }
-
-    /// Number of row segments.
-    #[must_use]
-    pub fn segment_count(&self) -> usize {
-        self.segments.len()
-    }
-
-    /// Executes one full-vector query: each segment's plan recognizes its
-    /// slice, the adder tree combines the DOM codes — bit-identical (f64)
-    /// to [`PartitionedAmm::recall`].
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::InputLengthMismatch`] for a wrong-length vector;
-    /// otherwise see [`RecallPlan::execute`].
-    pub fn execute(&mut self, input: &[u32]) -> Result<PartitionedRecall, CoreError> {
-        self.execute_request(input, &RecallRequest::DEFAULT)
-    }
-
-    /// [`PartitionedPlan::execute`] with observability.
-    ///
-    /// # Errors
-    ///
-    /// See [`PartitionedPlan::execute`].
-    pub fn execute_request<R: Recorder>(
-        &mut self,
-        input: &[u32],
-        req: &RecallRequest<'_, R>,
-    ) -> Result<PartitionedRecall, CoreError> {
-        if input.len() != self.vector_len {
-            return Err(CoreError::InputLengthMismatch {
-                expected: self.vector_len,
-                found: input.len(),
-            });
-        }
-        let results = self
-            .segments
-            .iter_mut()
-            .map(|seg| seg.plan.execute_request(&input[seg.start..seg.end], req))
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(combine_results(self.pattern_count, results.iter()))
     }
 
     /// Runs the RNG-free first phase on every segment, yielding one
@@ -1187,7 +1157,8 @@ impl PartitionedPlan {
     ///
     /// # Errors
     ///
-    /// See [`PartitionedPlan::execute`].
+    /// [`CoreError::InputLengthMismatch`] for a wrong-length vector;
+    /// otherwise see [`RecallPlan::evaluate_query_request`].
     pub fn evaluate_query_request<R: Recorder>(
         &mut self,
         input: &[u32],
@@ -1266,12 +1237,6 @@ impl HierarchicalPlan {
             .map(|c| RecallPlan::compile_request(&c.module, options, req))
             .collect::<Result<_, _>>()?;
         Ok(Self { top, members })
-    }
-
-    /// Number of cluster member plans.
-    #[must_use]
-    pub fn member_count(&self) -> usize {
-        self.members.len()
     }
 
     /// Stage-A RNG-free phase through the compiled top plan —
@@ -1554,21 +1519,20 @@ mod tests {
 
     #[test]
     fn partitioned_plan_matches_partitioned_recall() {
+        // Engine-style split: the compiled plan (a worker's clone) runs
+        // the RNG-free phase, the interpreted master runs the select —
+        // bit-identical to plain sequential partitioned recall.
         let cfg = config(Fidelity::Driven);
-        let mut interpreted = PartitionedAmm::build(&patterns(), 3, &cfg).unwrap();
-        let reference = PartitionedAmm::build(&patterns(), 3, &cfg).unwrap();
+        let mut reference = PartitionedAmm::build(&patterns(), 3, &cfg).unwrap();
+        let mut master = reference.clone();
         let mut plan = PartitionedPlan::compile(&reference, PlanOptions::default()).unwrap();
-        assert_eq!(plan.segment_count(), 3);
+        let req = RecallRequest::DEFAULT;
         for q in queries() {
-            let want = interpreted.recall(&q).unwrap();
-            let got = plan.execute(&q).unwrap();
-            assert_eq!(got.winner, want.winner);
-            assert_eq!(got.dom, want.dom);
-            assert_eq!(got.scores, want.scores);
-            assert_eq!(
-                got.energy.total().0.to_bits(),
-                want.energy.total().0.to_bits()
-            );
+            let want = reference.recall(&q).unwrap();
+            let evals = plan.evaluate_query_request(&q, &req).unwrap();
+            assert_eq!(evals.len(), 3);
+            let got = master.select_winner_request(evals, &req).unwrap();
+            assert_eq!(got, want);
         }
     }
 
@@ -1594,7 +1558,6 @@ mod tests {
         let mut reference = HierarchicalAmm::build(&pats, 2, &cfg).unwrap();
         let mut master = reference.clone();
         let mut plan = HierarchicalPlan::compile(&reference, PlanOptions::default()).unwrap();
-        assert_eq!(plan.member_count(), master.cluster_count());
         let req = RecallRequest::DEFAULT;
         for q in queries() {
             let want = reference.recall(&q).unwrap();
@@ -1607,6 +1570,11 @@ mod tests {
                 .unwrap();
             assert_eq!(got, want);
         }
+        // One member plan per cluster.
+        let last = master.cluster_count() - 1;
+        assert!(plan
+            .evaluate_member_request(last, &queries()[0], &req)
+            .is_ok());
         assert!(plan
             .evaluate_member_request(master.cluster_count(), &queries()[0], &req)
             .is_err());

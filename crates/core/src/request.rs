@@ -25,7 +25,7 @@
 //! ```
 
 use spinamm_telemetry::{NoopRecorder, Recorder};
-use spinamm_trace::{ReqHandle, TraceBinding, Tracer};
+use spinamm_trace::{ReqHandle, TraceBinding, TraceScope, Tracer};
 
 /// Options for one recall-pipeline operation: the telemetry sink plus
 /// execution knobs. Construct with [`RecallRequest::DEFAULT`] (silent) or
@@ -64,10 +64,10 @@ impl<'r, R: Recorder> RecallRequest<'r, R> {
         }
     }
 
-    /// Overrides the worker-thread count used by the parallel (RNG-free)
-    /// phase of batched operations. Zero is treated as one. When unset, the
-    /// `SPINAMM_BATCH_WORKERS` environment variable and then the machine's
-    /// available parallelism decide. Results are worker-count independent.
+    /// Overrides the worker-thread count of the parallel parasitic solves
+    /// in [`crate::amm::AssociativeMemoryModule::recall_batch_request`].
+    /// Zero is treated as one; when unset, the machine's available
+    /// parallelism decides. Results are worker-count independent.
     #[must_use]
     pub const fn with_workers(mut self, workers: usize) -> Self {
         self.workers = Some(workers);
@@ -107,11 +107,18 @@ impl<'r, R: Recorder> RecallRequest<'r, R> {
     }
 
     /// Strips any tracer binding, keeping recorder and workers. Wrapper
-    /// layers (partitioned/hierarchical batch) use this to trace the outer
+    /// layers (partitioned segments, tiles) use this to trace the outer
     /// operation once instead of re-sampling every inner module call.
     #[must_use]
     pub fn untraced(mut self) -> Self {
         self.trace = TraceBinding::Off;
+        self
+    }
+
+    /// Runs this request inside `scope`'s traced request, so a composite
+    /// recall's evaluate and select phases attach to one trace.
+    pub(crate) fn within(mut self, scope: &TraceScope<'r>) -> Self {
+        self.trace = scope.binding();
         self
     }
 

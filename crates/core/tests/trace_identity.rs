@@ -4,6 +4,7 @@
 //! *untraced* recalls afterwards and requiring those to match too.
 
 use spinamm_core::amm::{AmmConfig, AssociativeMemoryModule, Fidelity};
+use spinamm_core::hierarchy::HierarchicalAmm;
 use spinamm_core::partition::PartitionedAmm;
 use spinamm_core::request::RecallRequest;
 use spinamm_data::workload::{PatternWorkload, WorkloadConfig};
@@ -111,14 +112,38 @@ fn traced_batch_and_partitioned_paths_stay_bit_identical() {
             "traced partitioned recall diverged"
         );
     }
-    // One "partition.batch" trace per recall, with per-segment spans.
+    // One "partition.recall" trace per recall, with one settle and one
+    // select span per segment (the names an engine job carries).
     assert_eq!(tracer.request_count(), queries.len() as u64);
     let trace = &tracer.traces()[0];
-    assert_eq!(trace.kind, "partition.batch");
-    let segments = trace
-        .spans
-        .iter()
-        .filter(|s| s.name == "partition.segment")
-        .count();
-    assert_eq!(segments, 3);
+    assert_eq!(trace.kind, "partition.recall");
+    for name in ["shard.settle", "shard.select"] {
+        let spans = trace.spans.iter().filter(|s| s.name == name).count();
+        assert_eq!(spans, 3, "{name}");
+    }
+    // RNG stream check: the next untraced recalls must still agree.
+    for q in queries.iter().take(3) {
+        assert_eq!(traced.recall(q).unwrap(), plain.recall(q).unwrap());
+    }
+
+    let mut plain = HierarchicalAmm::build(&w.patterns, 2, &cfg).unwrap();
+    let mut traced = HierarchicalAmm::build(&w.patterns, 2, &cfg).unwrap();
+    let tracer = Tracer::new(&TraceConfig::default());
+    let req = RecallRequest::DEFAULT.with_tracer(&tracer);
+    for q in &queries {
+        assert_eq!(
+            traced.recall_request(q, &req).unwrap(),
+            plain.recall(q).unwrap(),
+            "traced hierarchical recall diverged"
+        );
+    }
+    // One "hierarchy.recall" trace per recall, covering both stages.
+    assert_eq!(tracer.request_count(), queries.len() as u64);
+    let trace = &tracer.traces()[0];
+    assert_eq!(trace.kind, "hierarchy.recall");
+    let settles = trace.spans.iter().filter(|s| s.name == "settle").count();
+    assert_eq!(settles, 2, "one settle per stage");
+    for q in queries.iter().take(3) {
+        assert_eq!(traced.recall(q).unwrap(), plain.recall(q).unwrap());
+    }
 }

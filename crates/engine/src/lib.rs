@@ -400,7 +400,7 @@ impl Executor {
         Ok(match deployment {
             Deployment::Flat(m) => Executor::Flat(RecallPlan::compile_request(m, options, &req)?),
             Deployment::Partitioned(p) => {
-                Executor::Partitioned(PartitionedPlan::compile(p, options)?)
+                Executor::Partitioned(PartitionedPlan::compile_request(p, options, &req)?)
             }
             Deployment::Hierarchical(h) => {
                 Executor::Hierarchical(HierarchicalPlan::compile_request(h, options, &req)?)
@@ -1099,6 +1099,23 @@ mod tests {
             .map(|i| snap.counter(&format!("engine.worker.{i}.jobs")))
             .sum();
         assert_eq!(worker_jobs, 6);
+    }
+
+    #[test]
+    fn partitioned_engine_records_one_compile_per_segment() {
+        let part = PartitionedAmm::build(&patterns(), 3, &AmmConfig::default()).unwrap();
+        let segments = part.segment_count() as u64;
+        let recorder = Arc::new(MemoryRecorder::default());
+        let engine = RecallEngine::with_recorder(
+            Deployment::Partitioned(part),
+            &EngineConfig::builder().workers(2).build(),
+            recorder.clone(),
+        );
+        engine.recall_many(&patterns()).unwrap();
+        engine.shutdown();
+        let snap = recorder.snapshot();
+        assert_eq!(snap.counter("plan.compiles"), segments);
+        assert_eq!(snap.span_stats("plan.compile").unwrap().count, segments);
     }
 
     #[test]

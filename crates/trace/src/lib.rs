@@ -756,6 +756,16 @@ impl<'t> TraceScope<'t> {
         self.ctx.active()
     }
 
+    /// A binding that runs further operations inside this scope's
+    /// request ([`TraceBinding::Off`] for an inert scope).
+    #[must_use]
+    pub fn binding(&self) -> TraceBinding<'t> {
+        match self.ctx.inner {
+            Some((tracer, handle)) => TraceBinding::Joined(tracer, handle),
+            None => TraceBinding::Off,
+        }
+    }
+
     /// Opens a scoped span. See [`TraceCtx::phase`].
     pub fn phase(&self, name: &'static str) -> PhaseScope<'t> {
         self.ctx.phase(name)
